@@ -94,13 +94,12 @@ fn main() {
     read_amplification(&setup);
     disk_read_amplification(&setup);
     durability(&setup);
-    let delta = delta_mining(&setup);
     let kernels = kernel_timings();
 
     if let Some(path) = json_out {
-        let json = render_json(&delta, &kernels);
+        let json = render_json(scale.unwrap_or(1), &kernels);
         std::fs::write(&path, json).expect("write --json-out file");
-        println!("wrote delta + kernel numbers to {path}");
+        println!("wrote kernel numbers to {path}");
     }
 }
 
@@ -809,199 +808,17 @@ fn parallel_scaling(setup: &Setup) {
     }
 }
 
-/// One workload's delta-mining numbers, persisted via `--json-out`.
-struct DeltaRow {
-    workload: String,
-    slides: u64,
-    steady_slides: u64,
-    steady_reexamined_per_slide: f64,
-    steady_affected_per_slide: f64,
-    steady_tracked_per_slide: f64,
-    steady_border_updates_per_slide: f64,
-    steady_full_screens_per_slide: f64,
-    final_patterns: usize,
-    delta_ms: f64,
-    full_ms: f64,
-    steady_delta_ms_per_slide: f64,
-    steady_full_ms_per_slide: f64,
-    rebuilds: u64,
-}
-
-/// Delta-mining section: the maintained pattern set
-/// ([`fsm_core::StreamMiner::mine_delta`]) against a full re-mine after
-/// every slide.  The oracle runs [`Algorithm::Vertical`] — the same §3.4
-/// enumeration the delta tree maintains incrementally, so its intersection
-/// count is the work a from-scratch mine spends on the identical candidate
-/// space.  Byte-identity with the oracle is *asserted* at every epoch; once
-/// the window is warm a slide must never
-/// fall back to a full rebuild, must re-examine fewer patterns than the
-/// full re-mine screens candidates, and must keep its total support
-/// evaluations (arrival-walk probes plus border updates, each touching one
-/// arriving segment's chunks) below the full re-mine's whole-window volume
-/// (screens × window batches) — the point of the layer.
-fn delta_mining(setup: &Setup) -> Vec<DeltaRow> {
-    use std::time::{Duration, Instant};
-
-    println!("# Delta mining — maintained pattern set vs full re-mine per slide\n");
-    let mut out = Vec::new();
-    let mut rows = Vec::new();
-    for (workload, minsup) in &setup.workloads {
-        let build = |delta: bool, algorithm: Algorithm| -> StreamMiner {
-            let mut builder = StreamMinerBuilder::new()
-                .algorithm(algorithm)
-                .window_batches(setup.window)
-                .min_support(*minsup)
-                .backend(StorageBackend::DiskTemp)
-                .delta(delta)
-                .catalog(workload.catalog.clone());
-            if let Some(max) = setup.max_len {
-                builder = builder.max_pattern_len(max);
-            }
-            builder.build().expect("miner")
-        };
-        let mut delta_miner = build(true, Algorithm::DirectVertical);
-        let mut oracle = build(false, Algorithm::Vertical);
-        let (mut delta_time, mut full_time) = (Duration::ZERO, Duration::ZERO);
-        let (mut steady_delta_time, mut steady_full_time) = (Duration::ZERO, Duration::ZERO);
-        let mut rebuilds = 0u64;
-        // steady-state totals: re-examined, affected, tracked, rebuilds,
-        // border updates, full-oracle intersections
-        let mut steady = [0u64; 6];
-        let mut steady_slides = 0u64;
-        let mut final_patterns = 0usize;
-        for (idx, batch) in workload.batches.iter().enumerate() {
-            delta_miner.ingest_batch(batch).expect("ingest");
-            oracle.ingest_batch(batch).expect("ingest");
-            let t = Instant::now();
-            let incremental = delta_miner.mine().expect("delta mine");
-            let delta_elapsed = t.elapsed();
-            delta_time += delta_elapsed;
-            let t = Instant::now();
-            let full = oracle.mine().expect("full mine");
-            let full_elapsed = t.elapsed();
-            full_time += full_elapsed;
-            assert!(
-                incremental.same_patterns_as(&full),
-                "{} epoch {idx}: delta diverged from the full re-mine: {:?}",
-                workload.name,
-                full.diff(&incremental)
-            );
-            let stats = &incremental.stats().delta;
-            rebuilds += stats.full_rebuilds;
-            final_patterns = full.len();
-            if idx >= setup.window {
-                steady_slides += 1;
-                steady[0] += stats.patterns_reexamined;
-                steady[1] += stats.patterns_affected;
-                steady[2] += stats.patterns_tracked as u64;
-                steady[3] += stats.full_rebuilds;
-                steady[4] += stats.border_updates;
-                steady[5] += full.stats().intersections;
-                steady_delta_time += delta_elapsed;
-                steady_full_time += full_elapsed;
-            }
-        }
-        let per = |total: u64| total as f64 / steady_slides.max(1) as f64;
-        if steady_slides > 0 {
-            // Batches are fixed-size, so the resolved relative threshold is
-            // stable once the window is full: no steady-state rebuilds.
-            assert_eq!(
-                steady[3], 0,
-                "{}: delta mining rebuilt in the steady state",
-                workload.name
-            );
-            // The full oracle re-screens every candidate of the §3.4
-            // enumeration against full window rows each mine; a steady delta
-            // slide re-examines only the patterns the slide touched.
-            assert!(
-                steady[0] < steady[5],
-                "{}: steady-state patterns re-examined/slide ({:.0}) must stay \
-                 strictly below the full re-mine's candidate screens ({:.0})",
-                workload.name,
-                per(steady[0]),
-                per(steady[5]),
-            );
-            // Volume bound: every delta evaluation (probe or border update)
-            // touches at most one arriving segment's chunks — 1/window of
-            // the whole-window row a full-mine screen intersects.
-            assert!(
-                steady[0] + steady[4] < steady[5] * setup.window as u64,
-                "{}: steady-state delta support evaluations/slide ({:.0} probes \
-                 + {:.0} border updates, one segment chunk each) must stay \
-                 below the full re-mine's whole-window volume ({:.0} screens x \
-                 {} window batches)",
-                workload.name,
-                per(steady[0]),
-                per(steady[4]),
-                per(steady[5]),
-                setup.window,
-            );
-        }
-        let per_ms = |total: Duration| total.as_secs_f64() * 1e3 / steady_slides.max(1) as f64;
-        rows.push(vec![
-            workload.name.clone(),
-            format!("{:.0}", per(steady[2])),
-            format!("{:.0}", per(steady[0])),
-            format!("{:.0}", per(steady[4])),
-            format!("{:.0}", per(steady[5])),
-            format!("{:.3}", per_ms(steady_delta_time)),
-            format!("{:.3}", per_ms(steady_full_time)),
-            rebuilds.to_string(),
-        ]);
-        out.push(DeltaRow {
-            workload: workload.name.clone(),
-            slides: workload.batches.len() as u64,
-            steady_slides,
-            steady_reexamined_per_slide: per(steady[0]),
-            steady_affected_per_slide: per(steady[1]),
-            steady_tracked_per_slide: per(steady[2]),
-            steady_border_updates_per_slide: per(steady[4]),
-            steady_full_screens_per_slide: per(steady[5]),
-            final_patterns,
-            delta_ms: delta_time.as_secs_f64() * 1e3,
-            full_ms: full_time.as_secs_f64() * 1e3,
-            steady_delta_ms_per_slide: per_ms(steady_delta_time),
-            steady_full_ms_per_slide: per_ms(steady_full_time),
-            rebuilds,
-        });
-    }
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "workload",
-                "tracked/slide (steady)",
-                "probes/slide",
-                "border upd/slide",
-                "full screens/slide",
-                "delta ms/slide (steady)",
-                "full ms/slide (steady)",
-                "rebuilds"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "every epoch byte-identical to the full re-mine (asserted); steady-state \
-         re-examined < full screens and total delta evaluations < screens x \
-         window (asserted) — delta evaluations touch one segment's chunks, \
-         full screens whole window rows; delta wins wall-clock where the \
-         active border stays small relative to the candidate space \
-         (graph-model), the dense stream is the adversarial worst case\n"
-    );
-    out
-}
-
 /// One measured BitVec kernel cell, persisted via `--json-out`.
 struct KernelRow {
     kernel: &'static str,
     bits: usize,
+    iters: usize,
     ns_per_op: f64,
 }
 
 /// In-binary timing of the unrolled intersection kernels (the Criterion
 /// bench `bitvec_kernels` is the statistically rigorous version; this one is
-/// cheap enough to run in CI and to persist alongside the delta numbers).
+/// cheap enough to run in CI and to persist as a build artifact).
 fn kernel_timings() -> Vec<KernelRow> {
     use std::hint::black_box;
     use std::time::Instant;
@@ -1046,11 +863,13 @@ fn kernel_timings() -> Vec<KernelRow> {
         out.push(KernelRow {
             kernel: "and_count",
             bits,
+            iters,
             ns_per_op: count_ns,
         });
         out.push(KernelRow {
             kernel: "and_into",
             bits,
+            iters,
             ns_per_op: into_ns,
         });
     }
@@ -1062,51 +881,21 @@ fn kernel_timings() -> Vec<KernelRow> {
     out
 }
 
-/// Hand-rolled JSON (the workspace carries no serde): the delta section's
-/// per-workload numbers plus the kernel timings.
-fn render_json(delta: &[DeltaRow], kernels: &[KernelRow]) -> String {
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let delta_objects: Vec<String> = delta
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"workload\": \"{}\", \"slides\": {}, \"steady_slides\": {}, \
-                 \"steady_reexamined_per_slide\": {:.1}, \"steady_affected_per_slide\": {:.1}, \
-                 \"steady_tracked_per_slide\": {:.1}, \
-                 \"steady_border_updates_per_slide\": {:.1}, \
-                 \"steady_full_screens_per_slide\": {:.1}, \"final_patterns\": {}, \
-                 \"delta_ms\": {:.2}, \"full_ms\": {:.2}, \
-                 \"steady_delta_ms_per_slide\": {:.3}, \
-                 \"steady_full_ms_per_slide\": {:.3}, \"rebuilds\": {}}}",
-                escape(&r.workload),
-                r.slides,
-                r.steady_slides,
-                r.steady_reexamined_per_slide,
-                r.steady_affected_per_slide,
-                r.steady_tracked_per_slide,
-                r.steady_border_updates_per_slide,
-                r.steady_full_screens_per_slide,
-                r.final_patterns,
-                r.delta_ms,
-                r.full_ms,
-                r.steady_delta_ms_per_slide,
-                r.steady_full_ms_per_slide,
-                r.rebuilds,
-            )
-        })
-        .collect();
+/// Hand-rolled JSON (the workspace carries no serde): the kernel timings
+/// with the scale and host core count they were measured at.
+fn render_json(scale: usize, kernels: &[KernelRow]) -> String {
+    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let kernel_objects: Vec<String> = kernels
         .iter()
         .map(|r| {
             format!(
-                "    {{\"kernel\": \"{}\", \"bits\": {}, \"ns_per_op\": {:.1}}}",
-                r.kernel, r.bits, r.ns_per_op
+                "    {{\"kernel\": \"{}\", \"bits\": {}, \"iters\": {}, \"ns_per_op\": {:.1}}}",
+                r.kernel, r.bits, r.iters, r.ns_per_op
             )
         })
         .collect();
     format!(
-        "{{\n  \"delta\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ]\n}}\n",
-        delta_objects.join(",\n"),
+        "{{\n  \"scale\": {scale},\n  \"host_cores\": {host_cores},\n  \"kernels\": [\n{}\n  ]\n}}\n",
         kernel_objects.join(",\n")
     )
 }

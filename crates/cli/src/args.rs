@@ -57,9 +57,6 @@ pub struct Options {
     /// Mine every window slide on a worker thread (epoch snapshots) while
     /// ingest continues on the main thread.
     pub concurrent: bool,
-    /// Maintain the frequent-pattern set across window slides (delta mining)
-    /// instead of re-mining every window from scratch.
-    pub delta: bool,
     /// DSMatrix storage backend (the paper's default keeps the window on
     /// disk).
     pub backend: StorageBackend,
@@ -94,7 +91,6 @@ impl Default for Options {
             group_size: None,
             threads: 1,
             concurrent: false,
-            delta: false,
             backend: StorageBackend::default(),
             cache_budget: 0,
             durable_dir: None,
@@ -126,10 +122,6 @@ OPTIONS:
   --concurrent          freeze an epoch snapshot after every ingested batch
                         and mine it on a worker thread while ingest continues
                         (the printed output is identical to a sequential run)
-  --delta               maintain the frequent-pattern set across window
-                        slides (per-segment support deltas + border
-                        re-expansion) instead of re-mining each window;
-                        the printed output is identical to a full re-mine
   --backend <disk|memory>   where the DSMatrix keeps the window
                         (default: disk, the paper's space posture)
   --cache-budget <BYTES>    decoded-chunk cache budget for the disk
@@ -204,7 +196,6 @@ pub fn parse(args: &[String]) -> Result<Options> {
             "--max-len" => options.max_len = Some(parse_number(&value("--max-len")?, "--max-len")?),
             "--threads" => options.threads = parse_number(&value("--threads")?, "--threads")?,
             "--concurrent" => options.concurrent = true,
-            "--delta" => options.delta = true,
             "--backend" => {
                 options.backend = match value("--backend")?.as_str() {
                     "disk" => StorageBackend::DiskTemp,
@@ -253,16 +244,6 @@ pub fn parse(args: &[String]) -> Result<Options> {
     if options.window == 0 || options.batch_size == 0 {
         return Err(FsmError::config(
             "--window and --batch-size must be positive",
-        ));
-    }
-    if options.delta && options.concurrent {
-        // Delta state lives with the writer and advances one epoch at a
-        // time; handing frozen snapshots to a detached worker would either
-        // share that state across threads or silently fall back to full
-        // re-mines.  Refuse the combination instead of guessing.
-        return Err(FsmError::config(
-            "--delta and --concurrent are mutually exclusive: delta mining \
-             maintains its pattern state on the ingest thread",
         ));
     }
     if options.cache_budget > 0 && matches!(options.backend, StorageBackend::Memory) {
@@ -434,28 +415,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_composes_with_backends_but_not_with_concurrent() {
+    fn delta_is_an_unknown_option() {
+        let err = parse(&to_args("mine --input x --delta")).unwrap_err();
         assert!(
-            !parse(&to_args("mine --input x")).unwrap().delta,
-            "delta mining is opt-in"
+            err.to_string().contains("unknown option '--delta'"),
+            "{err}"
         );
-        for args in [
-            "mine --input x --delta",
-            "mine --input x --delta --backend memory",
-            "mine --input x --delta --backend disk --cache-budget unlimited",
-            "mine --input x --delta --durable-dir /tmp/d --recover",
-            "mine --input x --delta --threads 4 --minsup 0.1",
-        ] {
-            assert!(parse(&to_args(args)).unwrap().delta, "{args}");
-        }
-        // Flag order must not matter, and the error must name the conflict.
-        for args in [
-            "mine --input x --delta --concurrent",
-            "mine --input x --concurrent --delta",
-        ] {
-            let err = parse(&to_args(args)).unwrap_err();
-            assert!(err.to_string().contains("--delta"), "{args}: {err}");
-        }
     }
 
     #[test]

@@ -31,15 +31,6 @@
 //! mining is property-tested byte-identical to stop-the-world mining at the
 //! same epoch, so the printed output matches a sequential run exactly.
 //!
-//! `--delta` switches mining to incremental maintenance: the frequent-pattern
-//! set is mined after every ingested batch, and each mine only re-examines
-//! the patterns a window slide could have affected (per-segment support
-//! contributions, a border set of nearly-frequent extensions, and targeted
-//! re-expansion — see `fsm_core::DeltaMiner`).  Delta mining is
-//! property-tested byte-identical to a full re-mine at every epoch, so the
-//! printed output matches a non-delta run exactly; the stderr summary gains a
-//! line reporting how many patterns the final slide actually touched.
-//!
 //! `--backend` picks where the window lives (`disk`, the paper's default
 //! space posture, or `memory`), and `--cache-budget BYTES` lets the disk
 //! backend pin up to that many bytes of decoded row chunks: mining then
@@ -105,7 +96,6 @@ fn run(options: &Options) -> Result<()> {
         .threads(options.threads)
         .backend(options.backend.clone())
         .cache_budget_bytes(options.cache_budget)
-        .delta(options.delta)
         .catalog(catalog.clone());
     if let Some(max) = options.max_len {
         builder = builder.max_pattern_len(max);
@@ -189,25 +179,6 @@ fn run(options: &Options) -> Result<()> {
             // An empty resumed stream slides nothing: mine the window as-is.
             None => miner.mine()?,
         }
-    } else if options.delta {
-        // Delta mode: mine after every ingested batch so the maintained
-        // pattern state advances one slide at a time; the newest result is
-        // the final window's, identical to a full re-mine.
-        let mut newest = None;
-        for batch in &batches {
-            miner.ingest_batch(batch)?;
-            ingested += 1;
-            if options.crash_after == Some(ingested) {
-                eprintln!("crash-after: aborting after {ingested} ingested batches");
-                std::process::abort();
-            }
-            newest = Some(miner.mine()?);
-        }
-        match newest {
-            Some(result) => result,
-            // An empty resumed stream slides nothing: mine the window as-is.
-            None => miner.mine()?,
-        }
     } else {
         for batch in &batches {
             miner.ingest_batch(batch)?;
@@ -250,9 +221,6 @@ fn run(options: &Options) -> Result<()> {
             result.stats().cache_hits,
             result.stats().rows_pinned,
         );
-    }
-    if options.delta {
-        eprintln!("delta: {}", result.stats().delta);
     }
     if options.durable_dir.is_some() {
         eprintln!(

@@ -79,13 +79,6 @@ pub struct MinerConfig {
     /// Checkpoint interval in window slides for the durable layer (ignored
     /// without [`MinerConfig::durable_dir`]).
     pub checkpoint_every: usize,
-    /// Route [`StreamMiner::mine`] through the incremental
-    /// [`crate::DeltaMiner`] ([`StreamMiner::mine_delta`]): the
-    /// frequent-pattern set is maintained across window slides and each mine
-    /// pays only for the patterns the slide affected, instead of
-    /// re-enumerating the window.  Output is byte-identical to a full
-    /// re-mine at the same epoch.  `false` by default.
-    pub delta: bool,
     /// Process-wide arbitration of [`MinerConfig::cache_budget_bytes`]
     /// across many miners (the multi-tenant service's one memory cap).
     /// `None` (the default) keeps the budget private to this miner; with a
@@ -111,7 +104,6 @@ impl Default for MinerConfig {
             cache_budget_bytes: 0,
             durable_dir: None,
             checkpoint_every: fsm_dsmatrix::DurabilityConfig::DEFAULT_CHECKPOINT_EVERY,
-            delta: false,
             cache_governor: None,
         }
     }
@@ -271,39 +263,6 @@ impl StreamMinerBuilder {
     /// fresh.  Requires [`StreamMinerBuilder::durable`].
     pub fn recover(mut self) -> Self {
         self.recover = true;
-        self
-    }
-
-    /// Enables delta mining: [`StreamMiner::mine`] maintains the
-    /// frequent-pattern set across window slides
-    /// ([`StreamMiner::mine_delta`]) instead of re-enumerating the window on
-    /// every call.  Output stays byte-identical to a full re-mine; the
-    /// incremental work performed is reported in
-    /// [`crate::MiningStats::delta`].
-    ///
-    /// ```
-    /// use fsm_core::StreamMinerBuilder;
-    /// use fsm_types::{Batch, EdgeCatalog, MinSup, Transaction};
-    ///
-    /// let mut miner = StreamMinerBuilder::new()
-    ///     .window_batches(2)
-    ///     .min_support(MinSup::absolute(2))
-    ///     .delta(true)
-    ///     .catalog(EdgeCatalog::complete(4))
-    ///     .build()
-    ///     .unwrap();
-    /// for id in 0..3 {
-    ///     let batch = Batch::from_transactions(id, vec![
-    ///         Transaction::from_raw([0, 2, 5]),
-    ///         Transaction::from_raw([2, 3, 5]),
-    ///     ]);
-    ///     miner.ingest_batch(&batch).unwrap();
-    ///     let result = miner.mine().unwrap(); // incremental after the first call
-    ///     assert!(result.stats().delta.patterns_tracked > 0);
-    /// }
-    /// ```
-    pub fn delta(mut self, delta: bool) -> Self {
-        self.config.delta = delta;
         self
     }
 

@@ -74,88 +74,6 @@ pub struct MiningStats {
     /// Batches crash recovery replayed from the WAL tail to rebuild this
     /// miner's window (zero unless the miner was built by recovery).
     pub recovery_replayed_batches: u64,
-    /// Incremental-maintenance counters of the last
-    /// [`crate::StreamMiner::mine_delta`] call (all zero for full re-mines).
-    pub delta: DeltaStats,
-}
-
-/// Counters of one [`crate::DeltaMiner`] advance: how much of the maintained
-/// pattern tree a slide actually touched.
-///
-/// The headline comparison is `patterns_reexamined` (support evaluations the
-/// advance performed: arrival-walk chunk probes, crossing materialisations,
-/// sweep screens) against the bit-vector intersections a full re-mine spends
-/// at the same epoch — steady state evaluates only the patterns the slide
-/// affected, against one segment's chunks, instead of re-screening every
-/// candidate against full window rows.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeltaStats {
-    /// Window slides (segment departures + arrivals) this advance applied.
-    pub slides_applied: u64,
-    /// Full window rebuilds this advance fell back to (first call, a minsup
-    /// or limit change, or a window discontinuity; steady state is zero).
-    pub full_rebuilds: u64,
-    /// Live frequent collections tracked after the advance.
-    pub patterns_tracked: usize,
-    /// Support updates applied to tracked patterns (departure subtractions,
-    /// arrival contributions, patterns newly created by a crossing).  May
-    /// exceed `patterns_reexamined`: a departure updates a recorded count
-    /// without evaluating anything.
-    pub patterns_affected: u64,
-    /// Support evaluations the advance performed in total — the delta-mine
-    /// analogue of a full re-mine's candidate screens.
-    pub patterns_reexamined: u64,
-    /// Border entries (infrequent extensions armed for promotion) after the
-    /// advance.
-    pub border_size: usize,
-    /// Border-entry support updates this advance applied (each one costs a
-    /// segment-chunk intersection or a recorded-contribution subtraction).
-    pub border_updates: u64,
-    /// Border entries promoted to frequent patterns this advance (each one
-    /// re-expands its subtree).
-    pub border_promotions: u64,
-    /// Subtrees cut because their root's support fell below minsup.
-    pub subtree_prunes: u64,
-    /// Tree-wide sweeps run because a singleton newly crossed minsup.
-    pub singleton_sweeps: u64,
-}
-
-impl DeltaStats {
-    /// Folds another advance's counters into this accumulator: work counters
-    /// add, state sizes (`patterns_tracked`, `border_size`) take the latest
-    /// observed maximum.
-    pub fn merge(&mut self, other: &DeltaStats) {
-        self.slides_applied += other.slides_applied;
-        self.full_rebuilds += other.full_rebuilds;
-        self.patterns_tracked = self.patterns_tracked.max(other.patterns_tracked);
-        self.patterns_affected += other.patterns_affected;
-        self.patterns_reexamined += other.patterns_reexamined;
-        self.border_size = self.border_size.max(other.border_size);
-        self.border_updates += other.border_updates;
-        self.border_promotions += other.border_promotions;
-        self.subtree_prunes += other.subtree_prunes;
-        self.singleton_sweeps += other.singleton_sweeps;
-    }
-}
-
-impl fmt::Display for DeltaStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} tracked, {} re-examined ({} affected), border {} ({} updates, {} promotions), \
-             {} prunes, {} sweeps, {} slides, {} rebuilds",
-            self.patterns_tracked,
-            self.patterns_reexamined,
-            self.patterns_affected,
-            self.border_size,
-            self.border_updates,
-            self.border_promotions,
-            self.subtree_prunes,
-            self.singleton_sweeps,
-            self.slides_applied,
-            self.full_rebuilds,
-        )
-    }
 }
 
 impl MiningStats {
@@ -191,7 +109,6 @@ impl MiningStats {
         self.recovery_replayed_batches = self
             .recovery_replayed_batches
             .max(other.recovery_replayed_batches);
-        self.delta.merge(&other.delta);
     }
 
     /// Peak working-set estimate of the mining step itself (trees or bit

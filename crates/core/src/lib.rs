@@ -79,7 +79,6 @@ pub mod algorithm;
 pub mod baseline;
 pub mod config;
 pub mod connectivity;
-pub mod delta;
 pub mod instrument;
 pub mod miner;
 pub mod miners;
@@ -95,9 +94,8 @@ pub use algorithm::{Algorithm, ConnectivityMode};
 pub use baseline::{mine_dstable, mine_dstree, BaselineStructure};
 pub use config::{MinerConfig, StreamMinerBuilder};
 pub use connectivity::ConnectivityChecker;
-pub use delta::DeltaMiner;
 pub use fsm_dsmatrix::{DurabilityConfig, RecoveryReport};
-pub use instrument::{DeltaStats, MiningStats};
+pub use instrument::MiningStats;
 pub use miner::{MinerSnapshot, StreamMiner};
 pub use neighborhood::{neighborhood_of_set, Neighborhood};
 pub use parallel::{Exec, WorkerPool};

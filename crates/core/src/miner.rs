@@ -15,7 +15,6 @@ use fsm_types::{Batch, BatchId, EdgeCatalog, GraphSnapshot, Result, Support, Tra
 use crate::algorithm::{Algorithm, ConnectivityMode};
 use crate::config::MinerConfig;
 use crate::connectivity::ConnectivityChecker;
-use crate::delta::DeltaMiner;
 use crate::miners;
 use crate::parallel::Exec;
 use crate::result::MiningResult;
@@ -42,9 +41,6 @@ pub struct StreamMiner {
     matrix: DsMatrix,
     tracker: MemoryTracker,
     next_batch_id: u64,
-    /// Incrementally maintained pattern state, created on the first
-    /// [`StreamMiner::mine_delta`] call and advanced epoch by epoch.
-    delta: Option<DeltaMiner>,
 }
 
 impl StreamMiner {
@@ -85,10 +81,7 @@ impl StreamMiner {
     /// configurations, the spill image under `spill_dir` otherwise.
     ///
     /// The configuration must carry the catalog the original miner held (the
-    /// session layer clones it back in at spill time).  Delta-mining state is
-    /// *not* hibernated: the first delta mine after a thaw performs the full
-    /// rebuild, which is byte-identical to the maintained state by the
-    /// delta-agreement property.
+    /// session layer clones it back in at spill time).
     pub fn thaw(config: MinerConfig, spill_dir: &Path) -> Result<Self> {
         if config.durable_dir.is_some() {
             return Self::recover(config);
@@ -122,7 +115,6 @@ impl StreamMiner {
             matrix,
             tracker,
             next_batch_id,
-            delta: None,
         };
         miner.matrix.set_tracker(miner.tracker.clone());
         Ok(miner)
@@ -185,10 +177,6 @@ impl StreamMiner {
 
     /// Mines the current window with the configured algorithm, applying the
     /// connectivity post-processing step where the algorithm requires it.
-    ///
-    /// With [`MinerConfig::delta`] enabled this delegates to
-    /// [`StreamMiner::mine_delta`], which maintains the pattern set across
-    /// slides instead of re-enumerating the window.
     pub fn mine(&mut self) -> Result<MiningResult> {
         self.mine_with(&Exec::scoped(self.config.threads))
     }
@@ -198,17 +186,7 @@ impl StreamMiner {
     /// multiplex over one process-wide worker set instead of each spawning
     /// scoped threads.  Output is byte-identical to [`StreamMiner::mine`]
     /// for every executor.
-    ///
-    /// Delta mining ([`MinerConfig::delta`]) maintains its pattern set
-    /// sequentially and therefore ignores the executor.
     pub fn mine_with(&mut self, exec: &Exec) -> Result<MiningResult> {
-        if self.config.delta {
-            return self.mine_delta();
-        }
-        self.mine_full(exec)
-    }
-
-    fn mine_full(&mut self, exec: &Exec) -> Result<MiningResult> {
         let start = Instant::now();
         let resolved = self
             .config
@@ -261,59 +239,6 @@ impl StreamMiner {
         raw.stats.checkpoint_bytes = read_after.checkpoint_bytes;
         raw.stats.recovery_replayed_batches = read_after.recovery_replayed_batches;
         Ok(MiningResult::new(raw.patterns, raw.stats))
-    }
-
-    /// Mines the current window *incrementally*: the maintained
-    /// [`DeltaMiner`] state is advanced to the current epoch, paying only
-    /// for the patterns the intervening slides affected, instead of
-    /// re-enumerating the whole window.
-    ///
-    /// Pattern output is byte-identical to [`StreamMiner::mine`] at the same
-    /// epoch for every algorithm, backend and thread count (the maintained
-    /// set is the full §3.4 enumeration, and the same §3.5 connectivity
-    /// post-processing is applied on collection) — property-tested against
-    /// the full re-mine oracle in `crates/core/tests/delta_agreement.rs`.
-    /// The work actually performed is reported in
-    /// [`crate::MiningStats::delta`].
-    ///
-    /// The first call (and any call after the resolved minimum support or
-    /// pattern-length limit changed, e.g. a relative threshold re-resolving
-    /// as the window grows) performs one full rebuild; steady-state calls on
-    /// a sliding window are O(patterns affected by the slide).
-    pub fn mine_delta(&mut self) -> Result<MiningResult> {
-        let start = Instant::now();
-        let read_before = self.matrix.read_stats();
-        let snapshot = self.matrix.snapshot_epoch()?;
-        let resolved = self.config.min_support.resolve(snapshot.num_transactions());
-        let state = self.delta.get_or_insert_with(DeltaMiner::new);
-        let mut patterns = state.advance(&snapshot, resolved, self.config.limits)?;
-        let mut stats = crate::MiningStats {
-            delta: state.stats().clone(),
-            intersections: state.stats().patterns_reexamined,
-            ..Default::default()
-        };
-        stats.patterns_before_postprocess = patterns.len();
-        // The maintained set is the full enumeration (connected and
-        // disconnected, like §3.4), so the connectivity step always runs —
-        // the final pattern set is the same one every algorithm produces.
-        let checker = ConnectivityChecker::new(&self.catalog, self.config.connectivity);
-        stats.patterns_pruned = checker.prune_disconnected(&mut patterns);
-        let read_after = self.matrix.read_stats();
-        stats.read_words_assembled = read_after.words_assembled - read_before.words_assembled;
-        stats.pages_read = read_after.pages_read - read_before.pages_read;
-        stats.cache_hits = read_after.cache_hits - read_before.cache_hits;
-        stats.rows_pinned = read_after.rows_pinned - read_before.rows_pinned;
-        stats.elapsed = start.elapsed();
-        stats.capture_resident_bytes = self.matrix.resident_bytes();
-        stats.capture_on_disk_bytes = self.matrix.on_disk_bytes();
-        stats.capture_words_written = self.matrix.capture_stats().words_written;
-        stats.window_transactions = snapshot.num_transactions();
-        stats.resolved_minsup = resolved;
-        stats.wal_bytes_written = read_after.wal_bytes_written;
-        stats.fsyncs = read_after.fsyncs;
-        stats.checkpoint_bytes = read_after.checkpoint_bytes;
-        stats.recovery_replayed_batches = read_after.recovery_replayed_batches;
-        Ok(MiningResult::new(patterns, stats))
     }
 
     /// Freezes the current window epoch into a self-contained, `Send + Sync`

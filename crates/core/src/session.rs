@@ -3,7 +3,7 @@
 //!
 //! A [`Session`] owns what a single-tenant process owned implicitly — one
 //! window (a [`StreamMiner`]) plus its miner configuration and optional
-//! delta/durable state — behind a lock, so ingest producers, on-demand mine
+//! durable state — behind a lock, so ingest producers, on-demand mine
 //! callers and subscription consumers can share it from different threads.
 //! The [`SessionRegistry`] keys sessions by tenant id and owns the
 //! process-wide resources every session draws from:
@@ -41,9 +41,7 @@
 //! the new epoch — through a frozen [`MinerSnapshot`](crate::MinerSnapshot)
 //! ([`StreamMiner::snapshot`]), the same reader path the concurrent-mining
 //! layer uses — and publishes the result; subscribers [`Subscription::poll`]
-//! or block on [`Subscription::wait`] for it.  Delta-enabled tenants
-//! publish through their maintained [`crate::DeltaMiner`] state instead
-//! (it requires exclusive access); either way the published patterns are
+//! or block on [`Subscription::wait`] for it.  The published patterns are
 //! the ones a stop-the-world mine at that epoch would return.
 //!
 //! # Tenant lifecycle: resident set, spill and thaw
@@ -573,7 +571,7 @@ pub struct SessionStatus {
 }
 
 /// One tenant: one sliding window, its miner configuration, and its
-/// delta/durable state, shareable across threads.
+/// durable state, shareable across threads.
 ///
 /// Created through [`SessionRegistry::create_tenant`] /
 /// [`SessionRegistry::recover_tenant`]; all methods take `&self`.  The
@@ -765,12 +763,13 @@ impl Session {
     /// Runs `f` under the window lock after thawing (if spilled) and
     /// draining queued ingests — the escape hatch for callers needing
     /// [`StreamMiner`] surface the session does not wrap (recovery reports,
-    /// memory accounting).
+    /// memory accounting).  A queued batch that fails to apply is returned
+    /// as the error, and `f` does not run.
     pub fn with_miner<R>(&self, f: impl FnOnce(&mut StreamMiner) -> R) -> Result<R> {
         let (value, resident_bytes) = {
             let mut window = lock_unpoisoned(&self.window);
             let miner = self.live(&mut window)?;
-            let _ = self.drain_into(miner);
+            self.drain_into(miner)?;
             let value = f(miner);
             (value, miner.resident_bytes())
         };
@@ -926,15 +925,10 @@ impl Session {
         lock_unpoisoned(&self.published).subscribers > 0
     }
 
-    /// Mines the just-slid window and publishes the result: through a
-    /// frozen epoch snapshot for full-mine tenants, through the maintained
-    /// delta state for delta tenants.
+    /// Mines the just-slid window through a frozen epoch snapshot and
+    /// publishes the result.
     fn publish(&self, miner: &mut StreamMiner) -> Result<()> {
-        let result = if miner.config().delta {
-            miner.mine_with(&self.exec)?
-        } else {
-            miner.snapshot()?.mine_with(&self.exec)?
-        };
+        let result = miner.snapshot()?.mine_with(&self.exec)?;
         let mut published = lock_unpoisoned(&self.published);
         published.seq += 1;
         published.result = Some(result);

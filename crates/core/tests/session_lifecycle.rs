@@ -1,27 +1,25 @@
 //! Spill/thaw lifecycle corners that the headline isolation property
 //! cannot reach on its own: a corrupt spill artifact surfacing (and the
 //! tenant staying recreatable), a spill racing an in-flight mine, and a
-//! delta tenant's incremental state rebuilding exactly across a
-//! spill/thaw cycle.
+//! queued batch whose drain fails surfacing its error instead of vanishing.
 
 use std::sync::{mpsc, Arc};
 
 use fsm_core::{
-    Algorithm, Exec, LifecycleState, MinerConfig, RegistryConfig, SessionRegistry, StreamMiner,
-    WorkerPool,
+    Algorithm, Exec, IngestOutcome, LifecycleState, MinerConfig, RegistryConfig, SessionRegistry,
+    StreamMiner, WorkerPool,
 };
 use fsm_storage::{Hibernation, StorageBackend, TempDir};
 use fsm_stream::WindowConfig;
 use fsm_types::{Batch, EdgeCatalog, FsmError, MinSup, Transaction};
 
-fn config(delta: bool) -> MinerConfig {
+fn config() -> MinerConfig {
     MinerConfig {
         algorithm: Algorithm::DirectVertical,
         window: WindowConfig::new(2).unwrap(),
         min_support: MinSup::absolute(2),
         backend: StorageBackend::Memory,
         catalog: Some(EdgeCatalog::complete(4)),
-        delta,
         ..MinerConfig::default()
     }
 }
@@ -50,9 +48,7 @@ fn spilling_registry(root: &TempDir) -> SessionRegistry {
 fn corrupt_spill_artifact_is_named_and_tenant_is_recreatable() {
     let root = TempDir::new("lifecycle-corrupt").unwrap();
     let registry = spilling_registry(&root);
-    let session = registry
-        .create_tenant("victim", config(false), false)
-        .unwrap();
+    let session = registry.create_tenant("victim", config(), false).unwrap();
     for batch in &batches() {
         session.ingest(batch).unwrap();
     }
@@ -84,10 +80,8 @@ fn corrupt_spill_artifact_is_named_and_tenant_is_recreatable() {
     // The tenant id is not poisoned: drop and recreate, and the fresh
     // tenant serves the stream like nothing happened.
     registry.drop_tenant("victim").unwrap();
-    let fresh = registry
-        .create_tenant("victim", config(false), false)
-        .unwrap();
-    let mut oracle = StreamMiner::new(config(false)).unwrap();
+    let fresh = registry.create_tenant("victim", config(), false).unwrap();
+    let mut oracle = StreamMiner::new(config()).unwrap();
     for batch in &batches() {
         fresh.ingest(batch).unwrap();
         oracle.ingest_batch(batch).unwrap();
@@ -109,9 +103,7 @@ fn spill_racing_an_in_flight_mine_drains_cleanly() {
         spill_root: Some(root.path().into()),
         ..RegistryConfig::default()
     });
-    let session = registry
-        .create_tenant("racer", config(false), false)
-        .unwrap();
+    let session = registry.create_tenant("racer", config(), false).unwrap();
     for batch in &batches() {
         session.ingest(batch).unwrap();
     }
@@ -153,46 +145,59 @@ fn spill_racing_an_in_flight_mine_drains_cleanly() {
     assert_eq!(session.status().thaws, 1);
 }
 
-/// A delta tenant's incremental pattern set rebuilds exactly on thaw: the
-/// spill drops the `DeltaMiner` state, the first post-thaw mine rebuilds
-/// it, and every subsequent slide maintains it — byte-identical to an
-/// uninterrupted delta run and to a from-scratch mine of the same window.
+/// A queued batch whose drain fails surfaces the error through
+/// [`fsm_core::Session::with_miner`], exactly as it would through `ingest`,
+/// `mine` or `spill`: the batch is parked while another caller holds the
+/// window, its disk tenant's segment directory is replaced by a plain file
+/// under that lock (so the segment write cannot even recreate it), and the
+/// next `with_miner` must report the failed write instead of running the
+/// closure over a window that silently lost the batch.
 #[test]
-fn delta_state_rebuilds_exactly_on_thaw() {
-    let root = TempDir::new("lifecycle-delta").unwrap();
-    let registry = spilling_registry(&root);
+fn with_miner_reports_a_failed_queued_drain() {
+    let root = TempDir::new("lifecycle-drain").unwrap();
+    let segments = root.path().join("segments");
+    let registry = SessionRegistry::new(RegistryConfig::default());
     let session = registry
-        .create_tenant("delta", config(true), false)
+        .create_tenant(
+            "drain",
+            MinerConfig {
+                backend: StorageBackend::DiskAt(segments.clone()),
+                ..config()
+            },
+            false,
+        )
         .unwrap();
     let stream = batches();
-    let mut oracle = StreamMiner::new(config(true)).unwrap();
+    session.ingest(&stream[0]).unwrap();
 
-    // Prime both with two batches and a mine so delta state exists.
-    for batch in &stream[..2] {
-        session.ingest(batch).unwrap();
-        oracle.ingest_batch(batch).unwrap();
-    }
-    assert!(session
-        .mine()
-        .unwrap()
-        .same_patterns_as(&oracle.mine().unwrap()));
+    let (hold_tx, hold_rx) = mpsc::channel::<()>();
+    let (held_tx, held_rx) = mpsc::channel::<()>();
+    let hostage = {
+        let session = Arc::clone(&session);
+        std::thread::spawn(move || {
+            session
+                .with_miner(move |_| {
+                    held_tx.send(()).unwrap();
+                    hold_rx.recv().unwrap();
+                })
+                .unwrap();
+        })
+    };
+    held_rx.recv().unwrap();
+    assert_eq!(session.ingest(&stream[1]).unwrap(), IngestOutcome::Queued);
+    std::fs::remove_dir_all(&segments).unwrap();
+    std::fs::write(&segments, b"not a directory").unwrap();
+    hold_tx.send(()).unwrap();
+    hostage.join().unwrap();
 
-    // Spill (dropping the delta state with the window), thaw by serving.
-    assert!(session.spill().unwrap());
-    assert!(session
-        .mine()
-        .unwrap()
-        .same_patterns_as(&oracle.mine().unwrap()));
-
-    // The stream continues across the cycle: the maintained set must track
-    // both the uninterrupted delta oracle and a from-scratch miner.
-    session.ingest(&stream[2]).unwrap();
-    oracle.ingest_batch(&stream[2]).unwrap();
-    let served = session.mine().unwrap();
-    assert!(served.same_patterns_as(&oracle.mine().unwrap()));
-    let mut scratch = StreamMiner::new(config(false)).unwrap();
-    for batch in &stream {
-        scratch.ingest_batch(batch).unwrap();
-    }
-    assert!(served.same_patterns_as(&scratch.mine().unwrap()));
+    let mut ran = false;
+    let result = session.with_miner(|_| ran = true);
+    assert!(
+        matches!(result, Err(FsmError::Io(_))),
+        "the failed drain must surface, got {result:?}"
+    );
+    assert!(
+        !ran,
+        "the closure must not run over a window that lost a batch"
+    );
 }

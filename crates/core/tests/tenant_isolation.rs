@@ -33,13 +33,13 @@ const VERTICES: u32 = 5;
 const EDGES: u32 = 10;
 const TENANTS: usize = 3;
 
-/// Per-tenant corners: algorithm family × backend × delta, cycled by
-/// tenant index so every multi-tenant case mixes them in one process.
+/// Per-tenant corners: algorithm family × backend, cycled by tenant index
+/// so every multi-tenant case mixes them in one process.
 fn tenant_config(index: usize) -> MinerConfig {
-    let (algorithm, backend, delta) = match index % TENANTS {
-        0 => (Algorithm::DirectVertical, StorageBackend::Memory, false),
-        1 => (Algorithm::MultiTree, StorageBackend::DiskTemp, false),
-        _ => (Algorithm::DirectVertical, StorageBackend::DiskTemp, true),
+    let (algorithm, backend) = match index % TENANTS {
+        0 => (Algorithm::DirectVertical, StorageBackend::Memory),
+        1 => (Algorithm::MultiTree, StorageBackend::DiskTemp),
+        _ => (Algorithm::DirectVertical, StorageBackend::DiskTemp),
     };
     MinerConfig {
         algorithm,
@@ -48,7 +48,6 @@ fn tenant_config(index: usize) -> MinerConfig {
         backend,
         catalog: Some(EdgeCatalog::complete(VERTICES)),
         cache_budget_bytes: 700,
-        delta,
         ..MinerConfig::default()
     }
 }

@@ -125,43 +125,6 @@ impl EpochSnapshot {
         &self.segments
     }
 
-    /// Frozen support of one singleton at the epoch (`0` for items outside
-    /// the snapshot's domain).
-    pub fn singleton_support(&self, item: usize) -> Support {
-        self.supports.get(item).copied().unwrap_or(0)
-    }
-
-    /// Per-segment column attribution: for each window segment, oldest
-    /// first, its identity uid and the half-open column range it occupies in
-    /// the epoch's concatenated window.
-    ///
-    /// Views built by [`EpochSnapshot::view`] always start at column 0 (no
-    /// dead prefix, unlike live memory-backend views), so these ranges index
-    /// snapshot-derived tidsets directly — this is what lets the delta miner
-    /// split a pattern's support into per-segment contributions with
-    /// [`fsm_storage::BitVec::count_range`].
-    pub fn segment_col_ranges(&self) -> Vec<(u64, std::ops::Range<usize>)> {
-        let mut start = 0usize;
-        self.segments
-            .iter()
-            .map(|seg| {
-                let range = start..start + seg.cols();
-                start = range.end;
-                (seg.uid(), range)
-            })
-            .collect()
-    }
-
-    /// Support contribution of `item` from window segment `segment` alone
-    /// (the popcount of the item's chunk in that segment; `0` when the item
-    /// has no chunk there or the index is out of range).
-    pub fn segment_support(&self, segment: usize, item: usize) -> Support {
-        self.segments
-            .get(segment)
-            .and_then(|seg| seg.chunk(item))
-            .map_or(0, |chunk| chunk.count_ones())
-    }
-
     /// Heap bytes of the segment data reachable from this snapshot.  Shared
     /// with the live store (and with other snapshots of overlapping epochs),
     /// not owned exclusively.
@@ -326,40 +289,6 @@ mod tests {
                 frozen,
                 "{backend:?} budget {budget}: snapshot must equal its epoch's oracle"
             );
-        }
-    }
-
-    #[test]
-    fn segment_attribution_sums_to_window_supports() {
-        for (backend, budget) in backends() {
-            let mut m = matrix(backend.clone(), budget);
-            for b in paper_batches() {
-                m.ingest_batch(&b).unwrap();
-                let snap = m.snapshot_epoch().unwrap();
-                let ranges = snap.segment_col_ranges();
-                assert_eq!(ranges.len(), snap.segments().len());
-                assert_eq!(ranges.first().map_or(0, |(_, r)| r.start), 0);
-                assert_eq!(
-                    ranges.last().map_or(0, |(_, r)| r.end),
-                    snap.num_transactions(),
-                    "{backend:?} budget {budget}: ranges must tile the window"
-                );
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].1.end, pair[1].1.start, "ranges must be contiguous");
-                }
-                for item in 0..snap.num_items() {
-                    let total: u64 = (0..snap.segments().len())
-                        .map(|s| snap.segment_support(s, item))
-                        .sum();
-                    assert_eq!(
-                        total,
-                        snap.singleton_support(item),
-                        "{backend:?} budget {budget}: per-segment supports must sum to the frozen support of item {item}"
-                    );
-                }
-                assert_eq!(snap.segment_support(99, 0), 0);
-                assert_eq!(snap.singleton_support(usize::MAX), 0);
-            }
         }
     }
 

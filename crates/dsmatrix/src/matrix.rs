@@ -356,7 +356,7 @@ impl DsMatrix {
 
         // The WAL self-repairs its torn tail on open; everything before the
         // tear is intact (per-record CRCs).
-        let (wal, records, torn) = Wal::open(dur.wal_path())?;
+        let (mut wal, records, torn) = Wal::open(dur.wal_path())?;
         let wal_torn = torn.map(|t| t.reason);
 
         // Newest checkpoint whose metadata *and* referenced pages verify
@@ -426,6 +426,10 @@ impl DsMatrix {
             );
         }
 
+        // A WAL pruned through the chosen checkpoint (two checkpoints at one
+        // sequence, e.g. a spill right after a periodic checkpoint) ends at
+        // or before it: appends continue from the checkpoint, not from 0.
+        wal.continue_after(ckpt.last_seq);
         let mut durable = DurableState::fresh(dur, wal);
         durable.applied_seq = ckpt.last_seq;
         durable.last_ckpt_seq = checkpoint_seq;

@@ -127,6 +127,42 @@ fn durable_hibernate_reuses_the_checkpoint_path() {
     assert_same_window(&mut replayed, &mut thawed, "durable thaw");
 }
 
+/// Two spills with no ingest between them checkpoint twice at one WAL
+/// sequence, and the second checkpoint prunes the whole WAL.  The thaw after
+/// that must continue the sequence from the checkpoint, so the next ingest
+/// is accepted and lands on the same window a plain replay builds.
+#[test]
+fn durable_re_thaw_keeps_accepting_ingests() {
+    let durable_root = TempDir::new("hib-rethaw").unwrap();
+    let spill = TempDir::new("hib-rethaw-spill").unwrap();
+    let stream = batches(&[
+        vec![vec![0, 1], vec![2]],
+        vec![vec![1, 3]],
+        vec![vec![0, 4], vec![3, 5], vec![2]],
+        vec![vec![1, 2], vec![5]],
+    ]);
+    let durable_config = || {
+        config(2, StorageBackend::DiskTemp)
+            .with_durability(DurabilityConfig::new(durable_root.path().to_path_buf()))
+    };
+    let mut matrix = DsMatrix::new(durable_config()).unwrap();
+    for batch in &stream[..3] {
+        matrix.ingest_batch(batch).unwrap();
+    }
+    for _ in 0..2 {
+        matrix.hibernate(spill.path()).unwrap();
+        drop(matrix);
+        matrix = DsMatrix::thaw(durable_config(), spill.path()).unwrap();
+    }
+    matrix.ingest_batch(&stream[3]).unwrap();
+
+    let mut replayed = DsMatrix::new(config(2, StorageBackend::DiskTemp)).unwrap();
+    for batch in &stream {
+        replayed.ingest_batch(batch).unwrap();
+    }
+    assert_same_window(&mut replayed, &mut matrix, "re-thawed then ingested");
+}
+
 #[test]
 fn corrupt_image_is_named_deleted_and_never_served() {
     let spill = TempDir::new("hib-corrupt").unwrap();

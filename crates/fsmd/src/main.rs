@@ -8,7 +8,7 @@
 //! fsmd drive --addr 127.0.0.1:7878 --input FILE [--tenant NAME]
 //!            [--algorithm NAME] [--window W] [--minsup V] [--batch-size B]
 //!            [--backend memory|disk] [--cache-budget BYTES]
-//!            [--durable] [--recover] [--delta] [--keep] [--verbose]
+//!            [--durable] [--recover] [--keep] [--verbose]
 //! ```
 //!
 //! `serve` hosts a [`fsm_core::SessionRegistry`]: every tenant mine
@@ -70,7 +70,6 @@ DRIVE OPTIONS:
                         input is empty)
   --durable             root the tenant under the server's durable root
   --recover             recover the tenant instead of creating it
-  --delta               maintain the pattern set incrementally
   --keep                leave the tenant on the server after driving
   --verbose             also print every tenant's lifecycle state,
                         resident bytes and thaw stats after mining
@@ -206,7 +205,7 @@ fn run_serve(args: &[String]) -> Result<()> {
 fn run_drive(args: &[String]) -> Result<()> {
     let flags = Flags {
         args,
-        switches: &["--durable", "--recover", "--delta", "--keep", "--verbose"],
+        switches: &["--durable", "--recover", "--keep", "--verbose"],
     };
     flags.check_known(&[
         "--addr",
@@ -221,7 +220,6 @@ fn run_drive(args: &[String]) -> Result<()> {
         "--catalog-items",
         "--durable",
         "--recover",
-        "--delta",
         "--keep",
         "--verbose",
     ])?;
@@ -296,7 +294,7 @@ fn run_drive(args: &[String]) -> Result<()> {
         backend,
         cache_budget: flags.parsed("--cache-budget", 0u64)?,
         durable: flags.present("--durable"),
-        delta: flags.present("--delta"),
+        delta: false,
     };
 
     let mut client = FsmdClient::connect(addr)?;

@@ -159,7 +159,9 @@ pub struct TenantSpec {
     pub cache_budget: u64,
     /// Root this tenant under the server's durable root.
     pub durable: bool,
-    /// Maintain the pattern set incrementally across slides.
+    /// Reserved wire byte, kept so the spec layout is unchanged.  The server
+    /// rejects `true` with [`FsmError::InvalidConfig`] (see
+    /// [`crate::server::miner_config`]): every mine is a full re-mine.
     pub delta: bool,
 }
 
@@ -460,10 +462,13 @@ mod tests {
             backend: 1,
             cache_budget: 1 << 20,
             durable: true,
+            // Reserved and rejected by the server, but still on the wire:
+            // the last byte must carry it both ways.
             delta: true,
         };
         let mut out = Vec::new();
         spec.encode_into(&mut out);
+        assert_eq!(out.last(), Some(&1));
         let mut cursor = Cursor::new(&out);
         assert_eq!(TenantSpec::decode(&mut cursor).unwrap(), spec);
         cursor.finish().unwrap();

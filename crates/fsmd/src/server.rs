@@ -258,7 +258,16 @@ fn handle(
 
 /// Materialises the [`MinerConfig`] a [`TenantSpec`] describes.  Durable
 /// directories and the governor stay the registry's business.
+///
+/// Rejects the reserved [`TenantSpec::delta`] byte when set: every mine is a
+/// full re-mine, so a client asking for incremental maintenance gets a typed
+/// [`FsmError::InvalidConfig`] rather than a silently different mode.
 pub fn miner_config(spec: &TenantSpec) -> Result<MinerConfig> {
+    if spec.delta {
+        return Err(FsmError::config(
+            "delta mining is not supported: every mine is a full re-mine (send delta = 0)",
+        ));
+    }
     let algorithm = *Algorithm::ALL.get(spec.algorithm as usize).ok_or_else(|| {
         FsmError::config(format!(
             "algorithm index {} out of range 0..{}",
@@ -303,7 +312,6 @@ pub fn miner_config(spec: &TenantSpec) -> Result<MinerConfig> {
         backend,
         catalog: Some(catalog),
         cache_budget_bytes: spec.cache_budget as usize,
-        delta: spec.delta,
         ..MinerConfig::default()
     })
 }

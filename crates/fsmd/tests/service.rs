@@ -352,3 +352,39 @@ fn errors_are_responses_not_hangups() {
     assert_eq!(client.list_tenants().unwrap(), vec!["dup".to_string()]);
     handle.shutdown();
 }
+
+/// The spec's `delta` byte is reserved: asking for incremental maintenance
+/// is a typed configuration error over the socket, nothing is created, and
+/// the connection keeps serving the next request.
+#[test]
+fn delta_specs_are_rejected_and_the_server_keeps_serving() {
+    let (_registry, handle) = start(RegistryConfig::default());
+    let mut client = FsmdClient::connect(handle.local_addr()).unwrap();
+    let err = client
+        .create_tenant(&TenantSpec {
+            delta: true,
+            ..spec("incremental", 4, 0)
+        })
+        .unwrap_err();
+    match &err {
+        FsmError::InvalidConfig(message) => {
+            assert!(message.contains("delta"), "got: {message}")
+        }
+        other => panic!("expected InvalidConfig, got: {other}"),
+    }
+    assert!(client.list_tenants().unwrap().is_empty());
+    client.create_tenant(&spec("full", 4, 0)).unwrap();
+    let mut oracle = standalone(
+        Algorithm::DirectVertical,
+        fsm_storage::StorageBackend::Memory,
+    );
+    for batch in &batches() {
+        client.ingest("full", batch).unwrap();
+        oracle.ingest_batch(batch).unwrap();
+    }
+    assert_eq!(
+        client.mine("full").unwrap(),
+        oracle.mine().unwrap().patterns().to_vec()
+    );
+    handle.shutdown();
+}

@@ -236,49 +236,6 @@ impl BitVec {
         and_count_slices(&self.words[..overlap], &other.words[..overlap])
     }
 
-    /// Number of set bits with column index in `[start, end)`, clamped to the
-    /// vector length.
-    ///
-    /// This is the per-segment support attribution primitive of the delta
-    /// miner: a pattern's tidset over a snapshot view starts at column 0, so
-    /// its support contribution from one window segment is exactly the
-    /// popcount of the segment's column range.  Interior whole words go
-    /// through the unrolled slice kernel; the two boundary words are masked
-    /// individually.
-    pub fn count_range(&self, start: usize, end: usize) -> u64 {
-        let end = end.min(self.len);
-        if start >= end {
-            return 0;
-        }
-        let first = start / WORD_BITS;
-        let last = (end - 1) / WORD_BITS;
-        let head_mask = u64::MAX << (start % WORD_BITS);
-        let tail_bits = end % WORD_BITS;
-        let tail_mask = if tail_bits == 0 {
-            u64::MAX
-        } else {
-            (1u64 << tail_bits) - 1
-        };
-        if first == last {
-            return u64::from((self.words[first] & head_mask & tail_mask).count_ones());
-        }
-        let mut count = u64::from((self.words[first] & head_mask).count_ones());
-        let interior = &self.words[first + 1..last];
-        let mut lanes = [0u64; LANES];
-        let mut chunks = interior.chunks_exact(LANES);
-        for c in &mut chunks {
-            lanes[0] += u64::from(c[0].count_ones());
-            lanes[1] += u64::from(c[1].count_ones());
-            lanes[2] += u64::from(c[2].count_ones());
-            lanes[3] += u64::from(c[3].count_ones());
-        }
-        count += lanes[0] + lanes[1] + lanes[2] + lanes[3];
-        for &w in chunks.remainder() {
-            count += u64::from(w.count_ones());
-        }
-        count + u64::from((self.words[last] & tail_mask).count_ones())
-    }
-
     /// Word-stream twin of [`BitVec::and_count`]: counts the set bits of the
     /// intersection of `self` with an operand given as a stream of 64-bit
     /// words (missing trailing words read as zero).
@@ -752,28 +709,6 @@ mod tests {
                 b.as_words().iter().copied(),
             );
             assert_eq!(count, naive, "assign_and_of_words {la}x{lb}");
-        }
-    }
-
-    #[test]
-    fn count_range_matches_a_bit_loop() {
-        let v = lcg_bits(42, 517);
-        for (start, end) in [
-            (0, 0),
-            (0, 517),
-            (0, 64),
-            (1, 63),
-            (63, 65),
-            (64, 128),
-            (100, 101),
-            (130, 517),
-            (200, 9999),
-            (517, 600),
-            (30, 30),
-            (40, 12),
-        ] {
-            let naive = (start..end.min(517)).filter(|&i| v.get(i)).count() as u64;
-            assert_eq!(v.count_range(start, end), naive, "range {start}..{end}");
         }
     }
 

@@ -188,6 +188,17 @@ impl Wal {
         Ok(())
     }
 
+    /// Continues the sequence after `seq` when the log ends at or before it:
+    /// the next append must then carry `seq + 1`.
+    ///
+    /// Recovery calls this with the chosen checkpoint's sequence.  A log
+    /// pruned through that checkpoint holds no record past it (it may be
+    /// empty), so the sequence scanned from the file alone would restart
+    /// below the checkpoint and reject every later append.
+    pub fn continue_after(&mut self, seq: u64) {
+        self.last_seq = self.last_seq.max(seq);
+    }
+
     /// Drops every record with `seq <= through`, rewriting the survivors to a
     /// temporary file and atomically renaming it over the log.
     ///
